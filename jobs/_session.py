@@ -20,5 +20,7 @@ def get_spark(app: str):
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        # Keep stage progress bars out of the results_*.log files.
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -8,12 +8,15 @@ cost[i][l] += (y_j - (1, t_j[F]) phi_i^(l))^2 (Line 7 of Algorithm 3).
 Each tuple then keeps the candidate model with the lowest accumulated
 validation cost.
 
-Distribution strategy: the relation r is broadcast once; a first Spark
-pass computes every tuple's k nearest neighbors (validation
-assignments), which are inverted into reverse-kNN lists on the driver
-(n*k ids — tiny); a second pass fans the per-tuple candidate sweep out
-over executors, with the incremental prefix computation of Proposition
-3 inside each task.
+Distribution strategy: the driver computes every tuple's k nearest
+neighbors (validation assignments) and inverts them into reverse-kNN
+lists (n*k ids — tiny); r, the grid and the lists are broadcast once,
+and one Spark pass fans the per-tuple candidate sweep out over
+executors, with the incremental prefix computation of Proposition 3
+inside each task. The sweep can be restricted to a set of target
+tuples (the ones imputation consults); the validation lists always
+come from the full self-kNN, so a target's model is the one a full run
+learns.
 
 ``adaptive_reference`` is a literal, driver-side O(n^2 * |grid|)
 transcription of Algorithm 3 used by the tests to pin down the
@@ -132,7 +135,7 @@ def _self_knn(rel: Relation, k: int, block: int = 2048) -> np.ndarray:
 
 def adaptive_learn(
     spark: SparkSession,
-    r: DataFrame,
+    r: DataFrame | Relation,
     F: Sequence[str],
     A_x: str,
     *,
@@ -141,31 +144,37 @@ def adaptive_learn(
     l_max: int | None = DEFAULT_L_MAX,
     alpha: float = linalg.DEFAULT_ALPHA,
     incremental: bool = True,
+    targets: np.ndarray | None = None,
 ) -> DataFrame:
     """Distributed Algorithm 3. Returns ``(row_id, phi, l_star)``.
 
-    ``incremental=False`` swaps in the from-scratch candidate sweep (the
-    straightforward baseline of Table III / Fig. 12); results are
-    identical, only slower — asserted by tests.
+    ``r`` is the complete relation, as a DataFrame or already collected.
+    ``targets`` (row ids of r) restricts the candidate sweep to those
+    tuples, e.g. the neighbors imputation consults; None learns every
+    tuple's model. Each target's validation list still comes from the
+    full self-kNN over r, so its model is exactly the one a full run
+    learns. ``incremental=False`` swaps in the from-scratch candidate
+    sweep (the straightforward baseline of Table III / Fig. 12); results
+    are identical, only slower — asserted by tests.
     """
-    rel = collect_relation(r, F, A_x)
+    rel = r if isinstance(r, Relation) else collect_relation(r, F, A_x)
     grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
     nn_idx = _self_knn(rel, k)
     val_sets = _reverse_validation(rel, nn_idx, k)
-    pos_of_id = {int(i): p for p, i in enumerate(rel.ids)}
-    b = spark.sparkContext.broadcast((rel, grid, val_sets, pos_of_id, alpha, incremental))
+    todo = np.arange(rel.n) if targets is None else rel.positions(np.unique(targets), "target")
+    b = spark.sparkContext.broadcast((rel, grid, val_sets, todo, alpha, incremental))
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv, g, vs, pos_of, a, inc = b.value
+        rv, g, vs, td, a, inc = b.value
         for pdf in batches:
             rows = []
-            for rid in pdf[ID].to_numpy(np.int64):
-                pos = pos_of[int(rid)]
+            for pos in td[pdf["id"].to_numpy(np.int64)]:
                 phi, l_star = _pick(rv, pos, g, a, vs[pos], incremental=inc)
-                rows.append((int(rid), phi.tolist(), l_star))
+                rows.append((int(rv.ids[pos]), phi.tolist(), l_star))
             yield pd.DataFrame(rows, columns=[ID, "phi", "l_star"])
 
-    src = r.select(ID).repartition(spark.sparkContext.defaultParallelism)
+    # Task input: the indices into ``todo``, split evenly without a shuffle.
+    src = spark.range(len(todo), numPartitions=spark.sparkContext.defaultParallelism)
     return src.mapInPandas(run, ADAPTIVE_SCHEMA)
 
 

@@ -17,9 +17,12 @@ Both phases come in two engines:
 
 * ``engine="sql"`` — nearest-neighbor lookup via a Catalyst crossJoin +
   window plan and per-group applyInPandas; test-scale, oracle-friendly.
-* ``engine="broadcast"`` — the complete relation is broadcast as numpy
-  and each partition does vectorized work via mapInPandas; this is the
-  scalable path used by the experiment harness.
+* ``engine="broadcast"`` — the complete relation is collected as numpy;
+  learning broadcasts it and each partition does vectorized work via
+  mapInPandas, while imputation finds the queries' neighbors and votes
+  on the driver (one query kNN that also decides which models adaptive
+  learning has to learn); this is the path used by the experiment
+  harness.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from pyspark.sql import functions as F_
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .nn import ID, Relation, collect_relation, knn_join, knn_numpy
+from .nn import ID, Relation, collect_relation, finite_matrix, knn_join, knn_numpy
 
 MODEL_SCHEMA = StructType(
     [
@@ -47,6 +50,11 @@ IMPUTED_SCHEMA = StructType(
         StructField("imputed", DoubleType(), False),
     ]
 )
+
+#: Queries per driver-side kNN call: keeps each |block| x n distance
+#: temporary small (all 125 queries of SN at n=5000 at once raised the
+#: driver's peak RSS by 12 MB).
+QUERY_BLOCK = 32
 
 
 def _fit_sorted(X_nn: np.ndarray, y_nn: np.ndarray, alpha: float) -> np.ndarray:
@@ -153,7 +161,7 @@ def combine_candidates(C: np.ndarray, *, weighting: str = "vote", tol: float = 1
 
 def impute(
     spark: SparkSession,
-    r: DataFrame,
+    r: DataFrame | Relation,
     incomplete: DataFrame,
     models: DataFrame,
     F: Sequence[str],
@@ -165,22 +173,39 @@ def impute(
 ) -> DataFrame:
     """Algorithm 2: impute ``incomplete[A_x]`` from the individual models.
 
-    Returns ``(row_id, imputed)`` with one row per incomplete tuple.
+    ``models`` may cover any subset of r: every model id must be in r,
+    and every neighbor a query consults must have a model, or a
+    ValueError names the id. ``r`` may be passed already collected
+    (broadcast engine only). Returns ``(row_id, imputed)`` with one row
+    per incomplete tuple.
     """
     if engine == "sql":
+        if isinstance(r, Relation):
+            raise TypeError('engine="sql" needs r as a DataFrame')
         return _impute_sql(spark, r, incomplete, models, F, k, weighting)
-    return _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting)
+    rel = r if isinstance(r, Relation) else collect_relation(r, F, A_x)
+    return _impute_broadcast(spark, rel, incomplete, models, F, k, weighting)
+
+
+def _no_model(n_id: int, q_id: int) -> ValueError:
+    return ValueError(
+        f"neighbor row_id {n_id} of incomplete tuple row_id {q_id} has no model"
+    )
 
 
 def _impute_sql(spark, r, incomplete, models, F, k, weighting):
     nn = knn_join(incomplete, r, F, k)
-    joined = nn.join(models.withColumnRenamed(ID, "n_id"), "n_id").join(
+    # Left join: a neighbor without a model must fail, not drop out of the vote.
+    joined = nn.join(models.withColumnRenamed(ID, "n_id"), "n_id", "left").join(
         incomplete.select(F_.col(ID).alias("q_id"), *[F_.col(a) for a in F]), "q_id"
     )
     cols = list(F)
 
     def agg(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("rank")
+        lacking = pdf["phi"].isna().to_numpy()
+        if lacking.any():
+            raise _no_model(pdf["n_id"].to_numpy()[lacking][0], pdf["q_id"].iloc[0])
         x = pdf[cols].to_numpy(np.float64)[0]
         Phi = np.array(pdf["phi"].tolist(), dtype=np.float64)  # (k, m)
         cand = Phi[:, 0] + Phi[:, 1:] @ x  # Formula 9
@@ -190,33 +215,47 @@ def _impute_sql(spark, r, incomplete, models, F, k, weighting):
     return joined.groupBy("q_id").applyInPandas(agg, IMPUTED_SCHEMA)
 
 
-def _impute_broadcast(spark, r, incomplete, models, F, A_x, k, weighting):
-    rel = collect_relation(r, F, A_x)
-    mp = models.select(ID, "phi").toPandas().sort_values(ID)
-    if not np.array_equal(mp[ID].to_numpy(np.int64), rel.ids):
-        raise ValueError("models must cover exactly the complete relation r")
-    Phi = np.array(mp["phi"].tolist(), dtype=np.float64)  # aligned with rel rows
-    b = spark.sparkContext.broadcast((rel, Phi))
-    cols = list(F)
+def _query_neighbors(
+    rel: Relation, incomplete: DataFrame, F: Sequence[str], k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The incomplete tuples' ids and F-values (ordered by id) and the
+    positions in ``rel`` of their k nearest complete neighbors.
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv, Ph = b.value
-        kk = min(k, rv.n)
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            Q = pdf[cols].to_numpy(np.float64)
-            idx, _ = knn_numpy(Q, rv.X, kk, r_ids=rv.ids)
-            # candidates: (q, k) — each neighbor's model applied to t_x[F]
-            P = Ph[idx]  # (q, k, m)
-            cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], Q)
-            vals = combine_candidates(cand, weighting=weighting)
-            yield pd.DataFrame({ID: pdf[ID].to_numpy(np.int64), "imputed": vals})
+    Computed on the driver in fixed blocks, so the neighbors that
+    decide which models are learned are the very ones imputation reads
+    (the rounding of the distance expansion depends on the shape of the
+    query block, so a per-partition kNN can break near-ties otherwise).
+    """
+    pdf = incomplete.select(ID, *F).toPandas().sort_values(ID)
+    Q = finite_matrix(pdf, F, "the incomplete relation")
+    idx = np.empty((len(Q), min(k, rel.n)), dtype=np.int64)
+    for s in range(0, len(Q), QUERY_BLOCK):
+        idx[s : s + QUERY_BLOCK], _ = knn_numpy(
+            Q[s : s + QUERY_BLOCK], rel.X, k, r_ids=rel.ids
+        )
+    return pdf[ID].to_numpy(np.int64), Q, idx
 
-    src = incomplete.select(ID, *cols).repartition(
-        spark.sparkContext.defaultParallelism
-    )
-    return src.mapInPandas(run, IMPUTED_SCHEMA)
+
+def _impute_broadcast(spark, rel, incomplete, models, F, k, weighting):
+    q_ids, Q, idx = _query_neighbors(rel, incomplete, F, k)
+    mp = models.select(ID, "phi").toPandas()
+    pos = rel.positions(mp[ID].to_numpy(np.int64), "model")
+    seen, count = np.unique(pos, return_counts=True)
+    if (count > 1).any():
+        raise ValueError(f"more than one model for row_id {rel.ids[seen[count > 1][0]]}")
+    Phi = np.zeros((rel.n, len(F) + 1))  # rows of r without a model stay unread
+    Phi[pos] = np.array(mp["phi"].tolist(), dtype=np.float64).reshape(len(pos), len(F) + 1)
+    has = np.zeros(rel.n, dtype=bool)
+    has[pos] = True
+    lacking = ~has[idx]
+    if lacking.any():
+        qi, j = np.argwhere(lacking)[0]
+        raise _no_model(rel.ids[idx[qi, j]], q_ids[qi])
+    # candidates: (q, k) — each neighbor's model applied to t_x[F] (Formula 9)
+    P = Phi[idx]  # (q, k, m)
+    cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], Q)
+    vals = combine_candidates(cand, weighting=weighting)
+    return spark.createDataFrame(pd.DataFrame({ID: q_ids, "imputed": vals}), IMPUTED_SCHEMA)
 
 
 def iim_impute(
@@ -239,14 +278,25 @@ def iim_impute(
 
     ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
     (the paper's recommended mode) with stepping ``h`` (auto if None).
+    Adaptive learning with the broadcast engine learns only the models
+    imputation consults: the queries' k nearest complete neighbors are
+    found first and passed to ``adaptive_learn`` as targets. Those
+    models are exact, because their validation lists come from the full
+    self-kNN over r. The SQL engine, whose Catalyst kNN rounds distances
+    differently, learns every model.
     """
     if l is not None:
         models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
     elif adaptive:
         from .adaptive import adaptive_learn  # local import: avoid cycle
 
+        rel = collect_relation(r, F, A_x)
+        targets = None
+        if engine != "sql":
+            targets = rel.ids[np.unique(_query_neighbors(rel, incomplete, F, k)[2])]
+            r = rel  # impute from the same collected relation
         models = adaptive_learn(
-            spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha
+            spark, rel, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, targets=targets
         )
     else:
         raise ValueError("either fix l or enable adaptive learning")

@@ -135,7 +135,7 @@ def knn_numpy(
 class Relation:
     """A materialized copy of a relation for numpy-side NN work."""
 
-    ids: np.ndarray  # (n,) int64 row ids
+    ids: np.ndarray  # (n,) int64 row ids, ascending
     X: np.ndarray  # (n, |F|) complete-attribute matrix
     y: np.ndarray  # (n,) incomplete-attribute values
 
@@ -143,16 +143,45 @@ class Relation:
     def n(self) -> int:
         return len(self.ids)
 
+    def positions(self, ids: np.ndarray, what: str) -> np.ndarray:
+        """Positions of ``ids`` in this relation; a ValueError names the
+        first id that is not in it (``what`` says whose id it is)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        unknown = ids[~np.isin(ids, self.ids)]
+        if len(unknown):
+            raise ValueError(f"{what} row_id {unknown[0]} is not in the complete relation r")
+        return np.searchsorted(self.ids, ids)
+
+
+def finite_matrix(pdf: pd.DataFrame, cols: Sequence[str], what: str, id_col: str = ID) -> np.ndarray:
+    """``pdf[cols]`` as a float matrix. A NaN or infinite value raises a
+    ValueError naming its column and row id (``what`` names the relation)."""
+    M = pdf[list(cols)].to_numpy(np.float64)
+    bad = ~np.isfinite(M)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{what} has a NaN or infinite value in column {cols[j]!r} "
+            f"(row_id {pdf[id_col].iloc[i]})"
+        )
+    return M
+
 
 def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID) -> Relation:
     """Collect (id, F, A_x) columns of a Spark relation into numpy arrays,
-    sorted by id for determinism."""
+    sorted by id for determinism. The relation is the complete relation
+    r: a duplicate id or a NaN/infinite value raises a ValueError that
+    names it."""
     cols = [id_col, *F] + ([A_x] if A_x not in F else [])
     pdf = df.select(*cols).toPandas().sort_values(id_col)
+    ids = pdf[id_col].to_numpy(np.int64)
+    dup = ids[1:][ids[1:] == ids[:-1]]
+    if len(dup):
+        raise ValueError(f"duplicate row_id {dup[0]} in the complete relation r")
     return Relation(
-        ids=pdf[id_col].to_numpy(np.int64),
-        X=pdf[list(F)].to_numpy(np.float64),
-        y=pdf[A_x].to_numpy(np.float64),
+        ids=ids,
+        X=finite_matrix(pdf, F, "the complete relation r", id_col),
+        y=finite_matrix(pdf, [A_x], "the complete relation r", id_col)[:, 0],
     )
 
 

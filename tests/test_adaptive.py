@@ -141,3 +141,35 @@ def test_single_attribute_relation(spark):
     got = adaptive_learn(spark, df, F, "A_y", k=3, h=1, l_max=None).toPandas()
     assert len(got) == 15
     assert all(len(p) == 2 for p in got["phi"])
+
+
+@pytest.mark.parametrize("collected", [False, True])
+def test_targets_equal_full_run_and_reference(spark, collected):
+    """Learning only a subset S of the models gives, for S, exactly the
+    rows of the full run (the validation lists still come from the full
+    self-kNN), and they match the literal reference."""
+    pdf, df, F = _rel_df(spark, n=36, seed=11, heterogeneous=True)
+    S = np.array([3, 0, 17, 35, 8, 21, 17], dtype=np.int64)  # unsorted, one repeat
+    rel = collect_relation(df, F, "A_y")
+    part = (
+        adaptive_learn(spark, rel if collected else df, F, "A_y", k=4, h=2, targets=S)
+        .toPandas().sort_values("row_id").reset_index(drop=True)
+    )
+    assert part["row_id"].tolist() == sorted(set(S.tolist()))
+    full = (
+        adaptive_learn(spark, df, F, "A_y", k=4, h=2)
+        .toPandas().set_index("row_id").loc[part["row_id"]].reset_index()
+    )
+    assert part["l_star"].tolist() == full["l_star"].tolist()
+    assert np.array_equal(np.array(part["phi"].tolist()), np.array(full["phi"].tolist()))
+    ref = adaptive_reference(rel, k=4, h=2).set_index("row_id").loc[part["row_id"]]
+    assert part["l_star"].tolist() == ref["l_star"].tolist()
+    np.testing.assert_allclose(
+        np.array(part["phi"].tolist()), np.array(ref["phi"].tolist()), atol=1e-7
+    )
+
+
+def test_unknown_target_raises(spark):
+    pdf, df, F = _rel_df(spark, n=12, seed=12)
+    with pytest.raises(ValueError, match="target row_id 99 is not in"):
+        adaptive_learn(spark, df, F, "A_y", k=3, h=1, targets=np.array([1, 99]))

@@ -211,3 +211,120 @@ class TestEndToEnd:
         )
         with pytest.raises(ValueError):
             iim.iim_impute(spark, df, q, ["A1", "A2"], "A3", adaptive=False)
+
+
+@pytest.fixture(scope="module")
+def tied_r(spark):
+    """Grid-valued relation with duplicated tuples, and queries that
+    repeat each other and points of r, so the k-th neighbor is often one
+    of several tuples at the same distance. More queries than one
+    driver-side kNN block holds."""
+    rng = np.random.default_rng(21)
+    n = 60
+    X = rng.integers(0, 4, size=(n, 2)).astype(np.float64)
+    pdf = pd.DataFrame({"row_id": np.arange(n, dtype=np.int64), "A1": X[:, 0], "A2": X[:, 1]})
+    pdf["A3"] = 2 * pdf["A1"] - pdf["A2"] + rng.normal(0, 0.3, n)
+    Q = np.vstack(
+        [X[[0, 5, 5, 9]], [[1.5, 1.5], [1.5, 1.5], [0.5, 2.0]], X[rng.integers(0, n, 33)]]
+    )
+    q = pd.DataFrame(
+        {"row_id": np.arange(500, 500 + len(Q), dtype=np.int64), "A1": Q[:, 0], "A2": Q[:, 1]}
+    )
+    return pdf, spark.createDataFrame(pdf), spark.createDataFrame(q)
+
+
+class TestDemandDrivenLearning:
+    F = ["A1", "A2"]
+
+    def test_equals_learning_every_model(self, spark, tied_r):
+        """iim_impute learns only the consulted models, yet imputes
+        bit-for-bit what learning all of them and imputing gives."""
+        from repro.core.adaptive import adaptive_learn
+
+        pdf, r, q = tied_r
+        got = iim.iim_impute(spark, r, q, self.F, "A3", k=5, h=3).toPandas()
+        models = adaptive_learn(spark, r, self.F, "A3", k=5, h=3)
+        want = iim.impute(spark, r, q, models, self.F, "A3", 5).toPandas()
+        got, want = (d.sort_values("row_id").reset_index(drop=True) for d in (got, want))
+        assert got["row_id"].tolist() == want["row_id"].tolist()
+        assert np.array_equal(got["imputed"].to_numpy(), want["imputed"].to_numpy())
+
+    def _neighbors(self, pdf, q, k):
+        """Row ids of each query's k nearest tuples of r, nearest first."""
+        X = pdf[self.F].to_numpy(np.float64)
+        Q = q.select(*self.F).toPandas().to_numpy(np.float64)
+        ids = pdf["row_id"].to_numpy()
+        return ids[iim.knn_numpy(Q, X, k, r_ids=ids)[0]]
+
+    @pytest.mark.parametrize("engine", ["broadcast", "sql"])
+    def test_missing_consulted_model_raises(self, spark, tied_r, engine):
+        pdf, r, q = tied_r
+        models = iim.learn_models(spark, r, self.F, "A3", 4)
+        q1 = q.where("row_id = 504")  # (1.5, 1.5): four grid points tie
+        dropped = int(self._neighbors(pdf, q1, 3)[0, 1])
+        partial = models.where(f"row_id != {dropped}")
+        msg = f"neighbor row_id {dropped} of incomplete tuple row_id 504 has no model"
+        with pytest.raises(Exception, match=msg):
+            iim.impute(spark, r, q1, partial, self.F, "A3", 3, engine=engine).collect()
+
+    def test_partial_models_covering_the_neighbors(self, spark, tied_r):
+        pdf, r, q = tied_r
+        models = iim.learn_models(spark, r, self.F, "A3", 4)
+        full = iim.impute(spark, r, q, models, self.F, "A3", 3).toPandas()
+        consulted = np.unique(self._neighbors(pdf, q, 3))
+        assert len(consulted) < len(pdf)
+        keep = ",".join(str(i) for i in consulted)
+        part = iim.impute(
+            spark, r, q, models.where(f"row_id IN ({keep})"), self.F, "A3", 3
+        ).toPandas()
+        full, part = (d.sort_values("row_id").reset_index(drop=True) for d in (full, part))
+        assert np.array_equal(full["imputed"].to_numpy(), part["imputed"].to_numpy())
+
+    def test_model_outside_r_raises(self, spark, tied_r):
+        pdf, r, q = tied_r
+        models = iim.learn_models(spark, r, self.F, "A3", 4)
+        stray = spark.createDataFrame(
+            pd.DataFrame({"row_id": np.array([999], dtype=np.int64), "phi": [[0.0, 1.0, 1.0]]}),
+            iim.MODEL_SCHEMA,
+        )
+        with pytest.raises(ValueError, match="model row_id 999 is not in the complete relation r"):
+            iim.impute(spark, r, q, models.unionByName(stray), self.F, "A3", 3)
+
+
+class TestInputErrors:
+    F = ["A1", "A2"]
+
+    def _r(self, spark, col=None, row=None, val=None):
+        pdf = pd.DataFrame(
+            {
+                "row_id": np.arange(8, dtype=np.int64),
+                "A1": np.arange(8, dtype=np.float64),
+                "A2": np.arange(8, dtype=np.float64) ** 2,
+                "A3": np.arange(8, dtype=np.float64) * 3,
+            }
+        )
+        if col is not None:
+            pdf.loc[row, col] = val
+        return spark.createDataFrame(pdf)
+
+    def _q(self, spark, a2=1.0):
+        return spark.createDataFrame(
+            pd.DataFrame({"row_id": np.array([500], dtype=np.int64), "A1": [0.5], "A2": [a2]})
+        )
+
+    def test_duplicate_row_id_in_r(self, spark):
+        r = self._r(spark, "row_id", 5, 2)
+        with pytest.raises(ValueError, match="duplicate row_id 2 in the complete relation r"):
+            iim.iim_impute(spark, r, self._q(spark), self.F, "A3", k=3)
+
+    @pytest.mark.parametrize("col", ["A2", "A3"])
+    def test_nan_in_r(self, spark, col):
+        r = self._r(spark, col, 6, np.nan)
+        with pytest.raises(ValueError, match=f"NaN or infinite value in column '{col}' \\(row_id 6\\)"):
+            iim.iim_impute(spark, r, self._q(spark), self.F, "A3", k=3)
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_nan_in_query(self, spark, adaptive):
+        kw = {} if adaptive else {"l": 3}
+        with pytest.raises(ValueError, match="incomplete relation has a NaN or infinite value in column 'A2' \\(row_id 500\\)"):
+            iim.iim_impute(spark, self._r(spark), self._q(spark, np.nan), self.F, "A3", k=3, **kw).collect()
