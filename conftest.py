@@ -1,6 +1,8 @@
 import os
 import sys
 
+from repro.session import get_spark, submit_args
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
@@ -40,11 +42,7 @@ def _driver_mem() -> str:
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
+    submit_args(f"--driver-memory {os.environ['SPARK_DRIVER_MEM']}"),
 )
 
 import pytest  # noqa: E402
@@ -56,22 +54,10 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch); the session settings are ``repro.session``'s, shared
+    with the ``jobs/`` entrypoints.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

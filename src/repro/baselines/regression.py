@@ -11,10 +11,12 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F_
 
 from ..core import linalg
-from ..core.nn import ID, collect_relation, knn_numpy
+from ..core.iim import IMPUTED_SCHEMA
+from ..core.nn import ID, collect_relation, knn_numpy, map_broadcast
 from .common import map_impute
 
 
@@ -135,31 +137,21 @@ def blr_impute(
     """
     rel = collect_relation(r, F, A_x)
     beta_star, sigma = _bayes_draw(rel, alpha, seed)
-    b = spark.sparkContext.broadcast((beta_star, sigma, seed))
     cols = list(F)
 
-    import pandas as pd
-    from typing import Iterator
-
-    from ..core.iim import IMPUTED_SCHEMA
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        bs, sg, sd = b.value
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            Q = pdf[cols].to_numpy(np.float64)
-            ids = pdf[ID].to_numpy(np.int64)
-            noise = np.array(
-                [np.random.default_rng(sd + 7919 * int(i)).standard_normal() for i in ids]
-            )
-            vals = linalg.design(Q) @ bs + sg * noise
-            yield pd.DataFrame({ID: ids, "imputed": vals})
+    def draw(pl, pdf: pd.DataFrame) -> pd.DataFrame:
+        bs, sg, sd = pl
+        ids = pdf[ID].to_numpy(np.int64)
+        noise = np.array(
+            [np.random.default_rng(sd + 7919 * int(i)).standard_normal() for i in ids]
+        )
+        vals = linalg.design(pdf[cols].to_numpy(np.float64)) @ bs + sg * noise
+        return pd.DataFrame({ID: ids, "imputed": vals})
 
     src = incomplete.select(ID, *cols).repartition(
         spark.sparkContext.defaultParallelism
     )
-    return src.mapInPandas(run, IMPUTED_SCHEMA)
+    return map_broadcast(spark, src, (beta_star, sigma, seed), draw, IMPUTED_SCHEMA)
 
 
 def pmm_impute(

@@ -3,11 +3,11 @@ from .adaptive import adaptive_learn, adaptive_reference
 from .iim import combine_candidates, iim_impute, impute, learn_models
 from .linalg import (
     DEFAULT_ALPHA,
-    IncrementalRidge,
     design,
     make_grid,
     prefix_params,
     prefix_params_scratch,
+    prefix_uv,
     predict,
     ridge_fit,
     ridge_solve,
@@ -17,7 +17,6 @@ from .nn import Relation, collect_relation, knn_join, knn_numpy, pairwise_dist
 
 __all__ = [
     "DEFAULT_ALPHA",
-    "IncrementalRidge",
     "Relation",
     "adaptive_learn",
     "adaptive_reference",
@@ -34,6 +33,7 @@ __all__ = [
     "predict",
     "prefix_params",
     "prefix_params_scratch",
+    "prefix_uv",
     "ridge_fit",
     "ridge_solve",
     "single_neighbor_phi",

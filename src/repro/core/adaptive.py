@@ -11,12 +11,12 @@ validation cost.
 Distribution strategy: the driver computes every tuple's k nearest
 neighbors (validation assignments) and inverts them into reverse-kNN
 lists (n*k ids — tiny); r, the grid and the lists are broadcast once,
-and one Spark pass fans the per-tuple candidate sweep out over
-executors, with the incremental prefix computation of Proposition 3
-inside each task. The sweep can be restricted to a set of target
-tuples (the ones imputation consults); the validation lists always
-come from the full self-kNN, so a target's model is the one a full run
-learns.
+and one Spark pass (:func:`~.nn.map_broadcast`) fans the per-tuple
+candidate sweep out over executors, with the incremental prefix
+computation of Proposition 3 inside each task. The sweep can be
+restricted to a set of target tuples (the ones imputation consults);
+the validation lists always come from the full self-kNN, so a target's
+model is the one a full run learns.
 
 ``adaptive_reference`` is a literal, driver-side O(n^2 * |grid|)
 transcription of Algorithm 3 used by the tests to pin down the
@@ -25,7 +25,7 @@ distributed implementation exactly.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -39,7 +39,7 @@ from pyspark.sql.types import (
 )
 
 from . import linalg
-from .nn import ID, Relation, collect_relation, knn_numpy, pairwise_dist
+from .nn import ID, Relation, collect_relation, knn_numpy, map_broadcast, pairwise_dist
 
 ADAPTIVE_SCHEMA = StructType(
     [
@@ -125,10 +125,7 @@ def _self_knn(rel: Relation, k: int, block: int = 2048) -> np.ndarray:
     out = np.empty((rel.n, kk), dtype=np.int64)
     for s in range(0, rel.n, block):
         e = min(s + block, rel.n)
-        idx, _ = knn_numpy(
-            rel.X[s:e], rel.X, kk,
-            r_ids=rel.ids, exclude_ids=rel.ids[s:e], q_ids=rel.ids[s:e],
-        )
+        idx, _ = knn_numpy(rel.X[s:e], rel.X, kk, r_ids=rel.ids, exclude_ids=rel.ids[s:e])
         out[s:e] = idx
     return out
 
@@ -162,20 +159,20 @@ def adaptive_learn(
     nn_idx = _self_knn(rel, k)
     val_sets = _reverse_validation(rel, nn_idx, k)
     todo = np.arange(rel.n) if targets is None else rel.positions(np.unique(targets), "target")
-    b = spark.sparkContext.broadcast((rel, grid, val_sets, todo, alpha, incremental))
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv, g, vs, td, a, inc = b.value
-        for pdf in batches:
-            rows = []
-            for pos in td[pdf["id"].to_numpy(np.int64)]:
-                phi, l_star = _pick(rv, pos, g, a, vs[pos], incremental=inc)
-                rows.append((int(rv.ids[pos]), phi.tolist(), l_star))
-            yield pd.DataFrame(rows, columns=[ID, "phi", "l_star"])
-
     # Task input: the indices into ``todo``, split evenly without a shuffle.
     src = spark.range(len(todo), numPartitions=spark.sparkContext.defaultParallelism)
-    return src.mapInPandas(run, ADAPTIVE_SCHEMA)
+    payload = (rel, grid, val_sets, todo, alpha, incremental)
+    return map_broadcast(spark, src, payload, _sweep, ADAPTIVE_SCHEMA)
+
+
+def _sweep(payload: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
+    """``(row_id, phi, l_star)`` of the targets at the task's indices."""
+    rel, grid, val_sets, todo, alpha, incremental = payload
+    rows = []
+    for pos in todo[pdf["id"].to_numpy(np.int64)]:
+        phi, l_star = _pick(rel, pos, grid, alpha, val_sets[pos], incremental=incremental)
+        rows.append((int(rel.ids[pos]), phi.tolist(), l_star))
+    return pd.DataFrame(rows, columns=[ID, "phi", "l_star"])
 
 
 def adaptive_reference(

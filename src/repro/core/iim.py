@@ -13,29 +13,24 @@ vote weights of Formulas 10-12 (candidates close to the other
 candidates get more weight; the all-equal case degenerates to uniform
 weights, which keeps Propositions 1-2 exact).
 
-Both phases come in two engines:
-
-* ``engine="sql"`` — nearest-neighbor lookup via a Catalyst crossJoin +
-  window plan and per-group applyInPandas; test-scale, oracle-friendly.
-* ``engine="broadcast"`` — the complete relation is collected as numpy;
-  learning broadcasts it and each partition does vectorized work via
-  mapInPandas, while imputation finds the queries' neighbors and votes
-  on the driver (one query kNN that also decides which models adaptive
-  learning has to learn); this is the path used by the experiment
-  harness.
+Spark layout: r is collected to the driver as numpy
+(:func:`~.nn.collect_relation`). Fixed-l learning broadcasts it and fans
+the per-tuple fits out over r's partitions (:func:`~.nn.map_broadcast`);
+imputation finds the queries' k nearest neighbors and votes on the
+driver, in one query kNN that also decides which models adaptive
+learning has to learn (:func:`iim_impute`).
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F_
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from . import linalg
-from .nn import ID, Relation, collect_relation, finite_matrix, knn_join, knn_numpy
+from .nn import ID, Relation, collect_relation, finite_matrix, knn_numpy, map_broadcast
 
 MODEL_SCHEMA = StructType(
     [
@@ -75,57 +70,22 @@ def learn_models(
     l: int,
     *,
     alpha: float = linalg.DEFAULT_ALPHA,
-    engine: str = "broadcast",
 ) -> DataFrame:
     """Algorithm 1: individual model per complete tuple, fixed l.
 
     Returns a DataFrame ``(row_id, phi)`` where ``phi`` is the
     (1+|F|)-vector [intercept, slopes...] of t_i's individual model.
     """
-    if engine == "sql":
-        return _learn_sql(spark, r, F, A_x, l, alpha)
-    return _learn_broadcast(spark, r, F, A_x, l, alpha)
-
-
-def _learn_sql(spark, r, F, A_x, l, alpha):
-    nn = knn_join(r, r, F, l, exclude_self=False)
-    feats = r.select(
-        F_.col(ID).alias("n_id"), *[F_.col(a) for a in F], F_.col(A_x).alias("_y")
-    )
-    joined = nn.join(feats, "n_id")
-    cols = list(F)
-
-    def fit(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("rank")
-        phi = _fit_sorted(
-            pdf[cols].to_numpy(np.float64), pdf["_y"].to_numpy(np.float64), alpha
-        )
-        return pd.DataFrame({ID: [pdf["q_id"].iloc[0]], "phi": [phi.tolist()]})
-
-    return joined.groupBy("q_id").applyInPandas(fit, MODEL_SCHEMA)
-
-
-def _learn_broadcast(spark, r, F, A_x, l, alpha):
     rel = collect_relation(r, F, A_x)
-    b = spark.sparkContext.broadcast(rel)
     cols = list(F)
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        rv: Relation = b.value
-        ll = min(l, rv.n)
-        for pdf in batches:
-            Q = pdf[cols].to_numpy(np.float64)
-            idx, _ = knn_numpy(Q, rv.X, ll, r_ids=rv.ids)
-            phis = []
-            for qi in range(len(pdf)):
-                nn_i = idx[qi]
-                phis.append(
-                    _fit_sorted(rv.X[nn_i], rv.y[nn_i], alpha).tolist()
-                )
-            yield pd.DataFrame({ID: pdf[ID].to_numpy(np.int64), "phi": phis})
+    def fit(rv: Relation, pdf: pd.DataFrame) -> pd.DataFrame:
+        idx, _ = knn_numpy(pdf[cols].to_numpy(np.float64), rv.X, l, r_ids=rv.ids)
+        phis = [_fit_sorted(rv.X[nn_i], rv.y[nn_i], alpha).tolist() for nn_i in idx]
+        return pd.DataFrame({ID: pdf[ID].to_numpy(np.int64), "phi": phis})
 
     src = r.select(ID, *cols).repartition(spark.sparkContext.defaultParallelism)
-    return src.mapInPandas(run, MODEL_SCHEMA)
+    return map_broadcast(spark, src, rel, fit, MODEL_SCHEMA)
 
 
 # --------------------------------------------------------------- combining
@@ -169,50 +129,37 @@ def impute(
     k: int,
     *,
     weighting: str = "vote",
-    engine: str = "broadcast",
 ) -> DataFrame:
     """Algorithm 2: impute ``incomplete[A_x]`` from the individual models.
 
     ``models`` may cover any subset of r: every model id must be in r,
     and every neighbor a query consults must have a model, or a
-    ValueError names the id. ``r`` may be passed already collected
-    (broadcast engine only). Returns ``(row_id, imputed)`` with one row
-    per incomplete tuple.
+    ValueError names the id. ``r`` may be passed already collected.
+    Returns ``(row_id, imputed)`` with one row per incomplete tuple.
     """
-    if engine == "sql":
-        if isinstance(r, Relation):
-            raise TypeError('engine="sql" needs r as a DataFrame')
-        return _impute_sql(spark, r, incomplete, models, F, k, weighting)
     rel = r if isinstance(r, Relation) else collect_relation(r, F, A_x)
-    return _impute_broadcast(spark, rel, incomplete, models, F, k, weighting)
-
-
-def _no_model(n_id: int, q_id: int) -> ValueError:
-    return ValueError(
-        f"neighbor row_id {n_id} of incomplete tuple row_id {q_id} has no model"
-    )
-
-
-def _impute_sql(spark, r, incomplete, models, F, k, weighting):
-    nn = knn_join(incomplete, r, F, k)
-    # Left join: a neighbor without a model must fail, not drop out of the vote.
-    joined = nn.join(models.withColumnRenamed(ID, "n_id"), "n_id", "left").join(
-        incomplete.select(F_.col(ID).alias("q_id"), *[F_.col(a) for a in F]), "q_id"
-    )
-    cols = list(F)
-
-    def agg(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("rank")
-        lacking = pdf["phi"].isna().to_numpy()
-        if lacking.any():
-            raise _no_model(pdf["n_id"].to_numpy()[lacking][0], pdf["q_id"].iloc[0])
-        x = pdf[cols].to_numpy(np.float64)[0]
-        Phi = np.array(pdf["phi"].tolist(), dtype=np.float64)  # (k, m)
-        cand = Phi[:, 0] + Phi[:, 1:] @ x  # Formula 9
-        val = combine_candidates(cand[None, :], weighting=weighting)[0]
-        return pd.DataFrame({ID: [pdf["q_id"].iloc[0]], "imputed": [val]})
-
-    return joined.groupBy("q_id").applyInPandas(agg, IMPUTED_SCHEMA)
+    q_ids, Q, idx = _query_neighbors(rel, incomplete, F, k)
+    mp = models.select(ID, "phi").toPandas()
+    pos = rel.positions(mp[ID].to_numpy(np.int64), "model")
+    seen, count = np.unique(pos, return_counts=True)
+    if (count > 1).any():
+        raise ValueError(f"more than one model for row_id {rel.ids[seen[count > 1][0]]}")
+    Phi = np.zeros((rel.n, len(F) + 1))  # rows of r without a model stay unread
+    Phi[pos] = np.array(mp["phi"].tolist(), dtype=np.float64).reshape(len(pos), len(F) + 1)
+    has = np.zeros(rel.n, dtype=bool)
+    has[pos] = True
+    lacking = ~has[idx]
+    if lacking.any():
+        qi, j = np.argwhere(lacking)[0]
+        raise ValueError(
+            f"neighbor row_id {rel.ids[idx[qi, j]]} of incomplete tuple "
+            f"row_id {q_ids[qi]} has no model"
+        )
+    # candidates: (q, k) — each neighbor's model applied to t_x[F] (Formula 9)
+    P = Phi[idx]  # (q, k, m)
+    cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], Q)
+    vals = combine_candidates(cand, weighting=weighting)
+    return spark.createDataFrame(pd.DataFrame({ID: q_ids, "imputed": vals}), IMPUTED_SCHEMA)
 
 
 def _query_neighbors(
@@ -236,28 +183,6 @@ def _query_neighbors(
     return pdf[ID].to_numpy(np.int64), Q, idx
 
 
-def _impute_broadcast(spark, rel, incomplete, models, F, k, weighting):
-    q_ids, Q, idx = _query_neighbors(rel, incomplete, F, k)
-    mp = models.select(ID, "phi").toPandas()
-    pos = rel.positions(mp[ID].to_numpy(np.int64), "model")
-    seen, count = np.unique(pos, return_counts=True)
-    if (count > 1).any():
-        raise ValueError(f"more than one model for row_id {rel.ids[seen[count > 1][0]]}")
-    Phi = np.zeros((rel.n, len(F) + 1))  # rows of r without a model stay unread
-    Phi[pos] = np.array(mp["phi"].tolist(), dtype=np.float64).reshape(len(pos), len(F) + 1)
-    has = np.zeros(rel.n, dtype=bool)
-    has[pos] = True
-    lacking = ~has[idx]
-    if lacking.any():
-        qi, j = np.argwhere(lacking)[0]
-        raise _no_model(rel.ids[idx[qi, j]], q_ids[qi])
-    # candidates: (q, k) — each neighbor's model applied to t_x[F] (Formula 9)
-    P = Phi[idx]  # (q, k, m)
-    cand = P[:, :, 0] + np.einsum("qkm,qm->qk", P[:, :, 1:], Q)
-    vals = combine_candidates(cand, weighting=weighting)
-    return spark.createDataFrame(pd.DataFrame({ID: q_ids, "imputed": vals}), IMPUTED_SCHEMA)
-
-
 def iim_impute(
     spark: SparkSession,
     r: DataFrame,
@@ -272,34 +197,26 @@ def iim_impute(
     l_max: int | None = None,
     alpha: float = linalg.DEFAULT_ALPHA,
     weighting: str = "vote",
-    engine: str = "broadcast",
 ) -> DataFrame:
     """One-shot IIM: learn (fixed-l or adaptive) then impute.
 
     ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
     (the paper's recommended mode) with stepping ``h`` (auto if None).
-    Adaptive learning with the broadcast engine learns only the models
-    imputation consults: the queries' k nearest complete neighbors are
-    found first and passed to ``adaptive_learn`` as targets. Those
-    models are exact, because their validation lists come from the full
-    self-kNN over r. The SQL engine, whose Catalyst kNN rounds distances
-    differently, learns every model.
+    Adaptive learning learns only the models imputation consults: the
+    queries' k nearest complete neighbors are found first and passed to
+    ``adaptive_learn`` as targets. Those models are exact, because their
+    validation lists come from the full self-kNN over r.
     """
     if l is not None:
-        models = learn_models(spark, r, F, A_x, l, alpha=alpha, engine=engine)
+        models = learn_models(spark, r, F, A_x, l, alpha=alpha)
     elif adaptive:
         from .adaptive import adaptive_learn  # local import: avoid cycle
 
-        rel = collect_relation(r, F, A_x)
-        targets = None
-        if engine != "sql":
-            targets = rel.ids[np.unique(_query_neighbors(rel, incomplete, F, k)[2])]
-            r = rel  # impute from the same collected relation
+        r = collect_relation(r, F, A_x)  # impute from the same collected relation
+        targets = r.ids[np.unique(_query_neighbors(r, incomplete, F, k)[2])]
         models = adaptive_learn(
-            spark, rel, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, targets=targets
+            spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, targets=targets
         )
     else:
         raise ValueError("either fix l or enable adaptive learning")
-    return impute(
-        spark, r, incomplete, models, F, A_x, k, weighting=weighting, engine=engine
-    )
+    return impute(spark, r, incomplete, models, F, A_x, k, weighting=weighting)

@@ -6,8 +6,8 @@ computation of Proposition 3 (Formulas 15-21), which turns the cost of
 learning the model at neighbor count ``l+h`` from O(m^2 (l+h)) into
 O(m^2 h) given the model state at ``l``.
 
-All functions are pure numpy so they can run inside Spark python
-workers (mapInPandas) as well as on the driver.
+All functions are pure numpy so they can run inside Spark's Python
+workers as well as on the driver.
 """
 from __future__ import annotations
 
@@ -52,34 +52,6 @@ def single_neighbor_phi(y_self: float, m: int) -> np.ndarray:
     return phi
 
 
-class IncrementalRidge:
-    """Stateful U/V accumulator implementing Proposition 3.
-
-    ``add(X_delta, y_delta)`` folds a batch of h new neighbors into U and
-    V in O(m^2 h); ``phi(alpha)`` solves Formula 19 in O(m^3), both
-    independent of the number l of neighbors already absorbed.
-    """
-
-    def __init__(self, m: int):
-        self.m = m  # parameter dimension incl. intercept
-        self.U = np.zeros((m, m), dtype=np.float64)
-        self.V = np.zeros(m, dtype=np.float64)
-        self.count = 0
-
-    def add(self, X_delta: np.ndarray, y_delta: np.ndarray) -> "IncrementalRidge":
-        """Absorb the neighbor increment (Formulas 20-21)."""
-        Xd = design(X_delta)
-        if Xd.shape[1] != self.m:
-            raise ValueError(f"expected {self.m - 1} features, got {Xd.shape[1] - 1}")
-        self.U += Xd.T @ Xd
-        self.V += Xd.T @ np.asarray(y_delta, dtype=np.float64)
-        self.count += Xd.shape[0]
-        return self
-
-    def phi(self, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-        return ridge_solve(self.U, self.V, alpha)
-
-
 def make_grid(n: int, h: int = 1, l_max: int | None = None) -> np.ndarray:
     """Candidate neighbor counts {1, 1+h, 1+2h, ...} <= min(n, l_max).
 
@@ -98,6 +70,28 @@ def make_grid(n: int, h: int = 1, l_max: int | None = None) -> np.ndarray:
     return grid.astype(np.int64)
 
 
+def prefix_uv(
+    X_sorted: np.ndarray, y_sorted: np.ndarray, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """U^(l) = X_l^T X_l and V^(l) = X_l^T Y_l over the first l rows,
+    for every l in ``grid`` (Proposition 3).
+
+    Each segment between consecutive grid points contributes its
+    increment once (Formulas 20-21) and the increments are prefix-summed,
+    so the sweep costs O(m^2 n) whatever |grid| is. Returns
+    (|grid|, m, m) and (|grid|, m) arrays.
+    """
+    D = design(X_sorted)
+    y_sorted = np.asarray(y_sorted, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.int64)
+    if grid[-1] > len(D):
+        raise ValueError(f"grid max {grid[-1]} exceeds n={len(D)}")
+    starts = np.concatenate([[0], grid[:-1]])
+    dU = np.stack([D[a:b].T @ D[a:b] for a, b in zip(starts, grid)])
+    dV = np.stack([D[a:b].T @ y_sorted[a:b] for a, b in zip(starts, grid)])
+    return np.cumsum(dU, axis=0), np.cumsum(dV, axis=0)
+
+
 def prefix_params(
     X_sorted: np.ndarray,
     y_sorted: np.ndarray,
@@ -107,33 +101,14 @@ def prefix_params(
     """Candidate models phi^(l) for every l in ``grid`` — incremental.
 
     ``X_sorted``/``y_sorted`` are a tuple's neighbors ordered by
-    ascending distance (self first). Between consecutive grid points the
-    U/V state is updated with only the delta rows (Proposition 3), so
-    the whole sweep costs O(m^2 n + |grid| m^3) instead of
+    ascending distance (self first). U/V come from :func:`prefix_uv`,
+    so the whole sweep costs O(m^2 n + |grid| m^3) instead of
     O(sum_l m^2 l). Returns a (|grid|, m) parameter matrix; grid point
     l=1 uses the single-neighbor rule.
     """
-    X_sorted = np.asarray(X_sorted, dtype=np.float64)
-    if X_sorted.ndim == 1:
-        X_sorted = X_sorted[:, None]
-    y_sorted = np.asarray(y_sorted, dtype=np.float64)
-    n, p = X_sorted.shape
-    m = p + 1
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid[-1] > n:
-        raise ValueError(f"grid max {grid[-1]} exceeds n={n}")
-
-    acc = IncrementalRidge(m)
-    Us = np.empty((len(grid), m, m))
-    Vs = np.empty((len(grid), m))
-    prev = 0
-    for g, l in enumerate(grid):
-        acc.add(X_sorted[prev:l], y_sorted[prev:l])
-        prev = int(l)
-        Us[g] = acc.U
-        Vs[g] = acc.V
-    eye = alpha * np.eye(m)
-    phis = np.linalg.solve(Us + eye, Vs[..., None])[..., 0]
+    Us, Vs = prefix_uv(X_sorted, y_sorted, grid)
+    m = Us.shape[1]
+    phis = np.linalg.solve(Us + alpha * np.eye(m), Vs[..., None])[..., 0]
     if grid[0] == 1:
         phis[0] = single_neighbor_phi(y_sorted[0], m)
     return phis

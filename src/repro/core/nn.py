@@ -1,30 +1,32 @@
-"""Nearest-neighbor search over the complete relation r.
+"""Nearest-neighbor search over the complete relation r, and the one
+way the package fans work out over Spark's Python workers.
 
-Two interchangeable engines, both using the paper's Formula 1 distance
-(root mean squared difference over the complete attributes F; the
-1/|F| factor does not change the ranking but is kept so distances match
-the paper's examples):
+Both kNN paths use the paper's Formula 1 distance (root mean squared
+difference over the complete attributes F; the 1/|F| factor does not
+change the ranking but is kept so distances match the paper's
+examples):
 
 * :func:`knn_join` — a pure Catalyst plan (crossJoin + window) returning
   the (query, neighbor, rank, distance) pairs. This is the
   "nearest-neighbor lookup via joins" path; quadratic, used at test
-  scale and oracle-checked.
-* :func:`knn_numpy` / :func:`BroadcastRelation` — vectorized numpy kNN
-  against a broadcast copy of r, used inside mapInPandas partitions by
-  the scalable engines.
+  scale and checked against the DuckDB oracle.
+* :func:`knn_numpy` — vectorized numpy kNN against a :class:`Relation`
+  (r collected by :func:`collect_relation`), on the driver or inside
+  the tasks of :func:`map_broadcast`.
 
-Ties are broken deterministically by (distance, neighbor row_id) in
-both engines so they agree bit-for-bit.
+Both break ties by (distance, neighbor row_id). They round distances
+differently, so only near-ties can come out in another order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F_
+from pyspark.sql.types import StructType
 
 
 ID = "row_id"
@@ -97,13 +99,12 @@ def knn_numpy(
     *,
     r_ids: np.ndarray | None = None,
     exclude_ids: np.ndarray | None = None,
-    q_ids: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices (into R) and distances of the k nearest rows of R per query.
 
     Tie-break: (distance, r_id) ascending, matching :func:`knn_join`.
-    ``exclude_ids`` (aligned with Q via ``q_ids``) removes the query's own
-    row from candidacy (validation mode).
+    ``exclude_ids`` (one per row of Q) removes the query's own row from
+    candidacy (validation mode).
     """
     R = np.atleast_2d(np.asarray(R, dtype=np.float64))
     n = R.shape[0]
@@ -185,28 +186,19 @@ def collect_relation(df: DataFrame, F: Sequence[str], A_x: str, id_col: str = ID
     )
 
 
-def broadcast_relation(spark: SparkSession, rel: Relation):
-    """Broadcast a Relation to executors once per imputation run."""
-    return spark.sparkContext.broadcast(rel)
+def map_broadcast(
+    spark: SparkSession, src: DataFrame, payload, fn: Callable, schema: StructType
+) -> DataFrame:
+    """Broadcast ``payload`` once and map every non-empty batch of
+    ``src`` to ``fn(payload, batch)``, a pandas frame with ``schema``'s
+    columns, in Spark's Python workers. ``src`` decides the tasks, so the
+    caller partitions it."""
+    b = spark.sparkContext.broadcast(payload)
 
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        pl = b.value
+        for pdf in batches:
+            if len(pdf):
+                yield fn(pl, pdf)
 
-def knn_pairs_numpy(rel: Relation, k: int, *, exclude_self: bool) -> pd.DataFrame:
-    """All-pairs kNN of r against itself (driver-side helper for tests
-    and the adaptive reference implementation)."""
-    idx, dist = knn_numpy(
-        rel.X,
-        rel.X,
-        k,
-        r_ids=rel.ids,
-        exclude_ids=rel.ids if exclude_self else None,
-        q_ids=rel.ids,
-    )
-    qn = np.repeat(rel.ids, idx.shape[1])
-    return pd.DataFrame(
-        {
-            "q_id": qn,
-            "n_id": rel.ids[idx.ravel()],
-            "rank": np.tile(np.arange(1, idx.shape[1] + 1), len(rel.ids)),
-            "dist": dist.ravel(),
-        }
-    )
+    return src.mapInPandas(run, schema)

@@ -1,11 +1,13 @@
 """IIM learning and imputation phases (Algorithms 1 and 2), including
-the paper's worked Examples 2 and 3 and cross-engine agreement."""
+the paper's worked Examples 2 and 3 and agreement with a reference built
+on the Catalyst kNN join."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import iim
+from repro.core import iim, linalg
 from repro.core.iim import combine_candidates
+from repro.core.nn import knn_join
 
 
 def _df(spark, rows, cols):
@@ -78,76 +80,89 @@ class TestCombineCandidates:
             combine_candidates(np.array([[1.0, 2.0]]), weighting="median")
 
 
-@pytest.mark.parametrize("engine", ["sql", "broadcast"])
 class TestLearning:
-    def test_example2_parameters(self, spark, fig1_r, engine):
+    def test_example2_parameters(self, spark, fig1_r):
         """l=4 over t1..t4: every tuple's neighbors are all four tuples,
         so every phi equals (5.56, -0.87) (paper Example 2 / Figure 1
         left street)."""
-        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 4, engine=engine)
+        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 4)
         got = models.toPandas().sort_values("row_id")
         assert len(got) == 4
         for phi in got["phi"]:
             np.testing.assert_allclose(phi, [5.56, -0.87], atol=0.005)
 
-    def test_l1_constant_models(self, spark, fig1_r, engine):
-        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 1, engine=engine)
+    def test_l1_constant_models(self, spark, fig1_r):
+        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 1)
         got = models.toPandas().sort_values("row_id")
         y = {1: 5.8, 2: 4.6, 3: 3.8, 4: 3.2}
         for _, row in got.iterrows():
             np.testing.assert_allclose(row["phi"], [y[row["row_id"]], 0.0])
 
-    def test_example6_l3_for_t1(self, spark, fig1_r, engine):
+    def test_example6_l3_for_t1(self, spark, fig1_r):
         """t1's 3 nearest neighbors are t1,t2,t3 -> phi = (5.66, -1.03)."""
-        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 3, engine=engine)
+        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 3)
         got = models.toPandas().set_index("row_id")
         np.testing.assert_allclose(got.loc[1, "phi"], [5.66, -1.03], atol=0.005)
 
 
+def _reference_neighbors(queries, r, F, k):
+    """Each query id's k nearest row ids of r, nearest first, from the
+    Catalyst kNN join (the path the DuckDB oracle checks)."""
+    nn = knn_join(queries, r, F, k).toPandas()
+    return {q: g.sort_values("rank")["n_id"].to_numpy() for q, g in nn.groupby("q_id")}
+
+
 class TestEngineAgreement:
+    """learn_models and impute against a reference assembled from
+    nn.knn_join, linalg.ridge_fit and iim.combine_candidates."""
+
     @pytest.mark.parametrize("l", [1, 3, 10])
     def test_learning_engines_agree(self, spark, rand_r, l):
         pdf, df = rand_r
         F = ["A1", "A2"]
-        a = (
-            iim.learn_models(spark, df, F, "A3", l, engine="sql")
-            .toPandas().sort_values("row_id").reset_index(drop=True)
-        )
+        rows = pdf.set_index("row_id")
+        ref = {
+            q: linalg.single_neighbor_phi(rows.loc[n[0], "A3"], len(F) + 1)
+            if l == 1
+            else linalg.ridge_fit(rows.loc[n, F].to_numpy(), rows.loc[n, "A3"].to_numpy())
+            for q, n in _reference_neighbors(df, df, F, l).items()
+        }
         b = (
-            iim.learn_models(spark, df, F, "A3", l, engine="broadcast")
+            iim.learn_models(spark, df, F, "A3", l)
             .toPandas().sort_values("row_id").reset_index(drop=True)
         )
-        assert a["row_id"].tolist() == b["row_id"].tolist()
+        assert sorted(ref) == b["row_id"].tolist()
         np.testing.assert_allclose(
-            np.array(a["phi"].tolist()), np.array(b["phi"].tolist()), atol=1e-7
+            np.array([ref[i] for i in b["row_id"]]), np.array(b["phi"].tolist()), atol=1e-7
         )
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_imputation_engines_agree(self, spark, rand_r, k):
         pdf, df = rand_r
         F = ["A1", "A2"]
-        models = iim.learn_models(spark, df, F, "A3", 5, engine="broadcast")
+        models = iim.learn_models(spark, df, F, "A3", 5)
         rng = np.random.default_rng(9)
-        q = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "row_id": np.arange(100, 106, dtype=np.int64),
-                    "A1": rng.normal(size=6),
-                    "A2": rng.normal(size=6),
-                }
-            )
+        q_pdf = pd.DataFrame(
+            {
+                "row_id": np.arange(100, 106, dtype=np.int64),
+                "A1": rng.normal(size=6),
+                "A2": rng.normal(size=6),
+            }
         )
-        a = (
-            iim.impute(spark, df, q, models, F, "A3", k, engine="sql")
-            .toPandas().sort_values("row_id").reset_index(drop=True)
-        )
+        q = spark.createDataFrame(q_pdf)
+        phi = models.toPandas().set_index("row_id")["phi"]
+        x = q_pdf.set_index("row_id")[F]
+        a = [
+            combine_candidates(
+                np.array([[p[0] + np.dot(p[1:], x.loc[qid]) for p in phi.loc[n]]])
+            )[0]
+            for qid, n in sorted(_reference_neighbors(q, df, F, k).items())
+        ]
         b = (
-            iim.impute(spark, df, q, models, F, "A3", k, engine="broadcast")
+            iim.impute(spark, df, q, models, F, "A3", k)
             .toPandas().sort_values("row_id").reset_index(drop=True)
         )
-        np.testing.assert_allclose(
-            a["imputed"].to_numpy(), b["imputed"].to_numpy(), atol=1e-7
-        )
+        np.testing.assert_allclose(np.array(a), b["imputed"].to_numpy(), atol=1e-7)
 
 
 class TestEndToEnd:
@@ -161,9 +176,7 @@ class TestEndToEnd:
         ]
         r = _df(spark, rows, ["row_id", "A1", "A2"])
         q = _df(spark, [(99, 5.0)], ["row_id", "A1"])
-        out = iim.iim_impute(
-            spark, r, q, ["A1"], "A2", k=3, l=4, engine="broadcast"
-        ).toPandas()
+        out = iim.iim_impute(spark, r, q, ["A1"], "A2", k=3, l=4).toPandas()
         # right-street regression predicts 0.64 + 1.11*(5-4.5) ~ 1.19-1.21
         assert abs(out["imputed"].iloc[0] - 1.3) < 0.4
 
@@ -180,9 +193,7 @@ class TestEndToEnd:
         truth = pdf.loc[mask]
         r = spark.createDataFrame(pdf.drop(mask))
         q = spark.createDataFrame(truth[["row_id", "A1"]])
-        got = iim.iim_impute(
-            spark, r, q, ["A1"], "A2", k=5, l=8, engine="broadcast"
-        ).toPandas().set_index("row_id")
+        got = iim.iim_impute(spark, r, q, ["A1"], "A2", k=5, l=8).toPandas().set_index("row_id")
         iim_rms = np.sqrt(
             ((got.loc[truth["row_id"], "imputed"].to_numpy() - truth["A2"].to_numpy()) ** 2).mean()
         )
@@ -202,7 +213,7 @@ class TestEndToEnd:
             pd.DataFrame({"row_id": [500], "A1": [0.0], "A2": [0.0]})
         )
         with pytest.raises(Exception):
-            iim.impute(spark, df, q, models, F, "A3", 3, engine="broadcast").collect()
+            iim.impute(spark, df, q, models, F, "A3", 3).collect()
 
     def test_fixed_l_or_adaptive_required(self, spark, rand_r):
         pdf, df = rand_r
@@ -256,8 +267,7 @@ class TestDemandDrivenLearning:
         ids = pdf["row_id"].to_numpy()
         return ids[iim.knn_numpy(Q, X, k, r_ids=ids)[0]]
 
-    @pytest.mark.parametrize("engine", ["broadcast", "sql"])
-    def test_missing_consulted_model_raises(self, spark, tied_r, engine):
+    def test_missing_consulted_model_raises(self, spark, tied_r):
         pdf, r, q = tied_r
         models = iim.learn_models(spark, r, self.F, "A3", 4)
         q1 = q.where("row_id = 504")  # (1.5, 1.5): four grid points tie
@@ -265,7 +275,7 @@ class TestDemandDrivenLearning:
         partial = models.where(f"row_id != {dropped}")
         msg = f"neighbor row_id {dropped} of incomplete tuple row_id 504 has no model"
         with pytest.raises(Exception, match=msg):
-            iim.impute(spark, r, q1, partial, self.F, "A3", 3, engine=engine).collect()
+            iim.impute(spark, r, q1, partial, self.F, "A3", 3).collect()
 
     def test_partial_models_covering_the_neighbors(self, spark, tied_r):
         pdf, r, q = tied_r

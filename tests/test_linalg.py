@@ -79,33 +79,22 @@ class TestSingleNeighbor:
 
 
 class TestIncrementalRidge:
+    """Proposition 3's incremental U/V (Formulas 20-21), via prefix_uv."""
+
     @pytest.mark.parametrize("splits", [[10], [3, 7], [1, 1, 8], [5, 2, 2, 1]])
     def test_batched_adds_equal_single_fit(self, splits):
         X, y = _rand_xy(sum(splits), 3, 5)
-        acc = linalg.IncrementalRidge(4)
-        start = 0
-        for h in splits:
-            acc.add(X[start : start + h], y[start : start + h])
-            start += h
-        np.testing.assert_allclose(acc.phi(), linalg.ridge_fit(X, y), rtol=1e-8)
+        U, V = linalg.prefix_uv(X, y, np.cumsum(splits))
+        np.testing.assert_allclose(
+            linalg.ridge_solve(U[-1], V[-1]), linalg.ridge_fit(X, y), rtol=1e-8
+        )
 
     def test_u_v_are_sufficient_statistics(self):
         X, y = _rand_xy(12, 2, 6)
-        acc = linalg.IncrementalRidge(3).add(X, y)
+        U, V = linalg.prefix_uv(X, y, np.array([12]))
         D = linalg.design(X)
-        np.testing.assert_allclose(acc.U, D.T @ D)
-        np.testing.assert_allclose(acc.V, D.T @ y)
-
-    def test_count_tracks_rows(self):
-        X, y = _rand_xy(9, 2, 7)
-        acc = linalg.IncrementalRidge(3)
-        acc.add(X[:4], y[:4]).add(X[4:], y[4:])
-        assert acc.count == 9
-
-    def test_wrong_width_raises(self):
-        acc = linalg.IncrementalRidge(3)
-        with pytest.raises(ValueError):
-            acc.add(np.zeros((2, 5)), np.zeros(2))
+        np.testing.assert_allclose(U[0], D.T @ D)
+        np.testing.assert_allclose(V[0], D.T @ y)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -118,11 +107,11 @@ class TestIncrementalRidge:
         """Formulas 20-21: U/V folded in any two batches equal scratch."""
         X, y = _rand_xy(n, p, seed)
         c = max(1, min(n - 1, int(n * cut)))
-        acc = linalg.IncrementalRidge(p + 1)
-        acc.add(X[:c], y[:c]).add(X[c:], y[c:])
-        D = linalg.design(X)
-        np.testing.assert_allclose(acc.U, D.T @ D, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(acc.V, D.T @ y, rtol=1e-9, atol=1e-9)
+        U, V = linalg.prefix_uv(X, y, np.array([c, n]))
+        for g, l in enumerate([c, n]):
+            D = linalg.design(X[:l])
+            np.testing.assert_allclose(U[g], D.T @ D, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(V[g], D.T @ y[:l], rtol=1e-9, atol=1e-9)
 
 
 class TestMakeGrid:
@@ -170,6 +159,26 @@ class TestPrefixParams:
         phis = linalg.prefix_params(X, y, np.array([1, 3, 5]))
         np.testing.assert_allclose(phis[0], [y[0], 0.0, 0.0])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_loop_of_segment_additions(self, seed):
+        """Bit-for-bit what folding each grid segment into U/V in turn
+        and solving every prefix gives, on features far from 0."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, 3)) * 20 + rng.uniform(-1000, 1000, size=3)
+        y = rng.normal(size=60) * 10
+        grid = linalg.make_grid(60, 1 + seed * 4)
+        U, V = np.zeros((4, 4)), np.zeros(4)
+        Us, Vs = [], []
+        for a, b in zip(np.concatenate([[0], grid[:-1]]), grid):
+            D = linalg.design(X[a:b])
+            U = U + D.T @ D
+            V = V + D.T @ y[a:b]
+            Us.append(U)
+            Vs.append(V)
+        want = np.linalg.solve(np.array(Us) + 1e-6 * np.eye(4), np.array(Vs)[..., None])[..., 0]
+        want[0] = linalg.single_neighbor_phi(y[0], 4)
+        assert np.array_equal(linalg.prefix_params(X, y, grid, 1e-6), want)
+
     def test_grid_beyond_n_raises(self):
         X, y = _rand_xy(4, 2, 0)
         with pytest.raises(ValueError):
@@ -203,12 +212,8 @@ class TestPaperExamples:
 
     def test_example6_incremental_step(self):
         """U^(4), V^(4) from U^(3), V^(3) plus the t4 increment."""
-        acc = linalg.IncrementalRidge(2).add(self.X[:3], self.y[:3])
-        U3, V3 = acc.U.copy(), acc.V.copy()
-        np.testing.assert_allclose(
-            U3, [[3.0, 2.7], [2.7, 4.25]], atol=1e-12
-        )
-        acc.add(self.X[3:4], self.y[3:4])
-        np.testing.assert_allclose(acc.U - U3, [[1.0, 2.9], [2.9, 8.41]])
-        np.testing.assert_allclose(acc.V - V3, [3.2, 9.28])
-        np.testing.assert_allclose(acc.phi(), [5.56, -0.87], atol=0.005)
+        U, V = linalg.prefix_uv(self.X, self.y, np.array([3, 4]))
+        np.testing.assert_allclose(U[0], [[3.0, 2.7], [2.7, 4.25]], atol=1e-12)
+        np.testing.assert_allclose(U[1] - U[0], [[1.0, 2.9], [2.9, 8.41]])
+        np.testing.assert_allclose(V[1] - V[0], [3.2, 9.28])
+        np.testing.assert_allclose(linalg.ridge_solve(U[1], V[1]), [5.56, -0.87], atol=0.005)

@@ -1,10 +1,13 @@
-"""Nearest-neighbor engines: the Catalyst kNN join vs the broadcast
-numpy kNN, plus DuckDB-oracle checks of the distance computation."""
+"""Nearest-neighbor search: the Catalyst kNN join vs the numpy kNN,
+DuckDB-oracle checks of the distance computation, and the broadcast
+fan-out (map_broadcast) over partitions that hold no input."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import nn
+from repro.baselines.simple import knn_impute
+from repro.core import iim, nn
+from repro.core.adaptive import adaptive_learn
 from repro.oracle import assert_equivalent
 
 
@@ -78,9 +81,7 @@ class TestKnnNumpy:
     def test_exclude_self(self):
         R = np.array([[0.0], [1.0], [2.0]])
         ids = np.array([0, 1, 2])
-        idx, _ = nn.knn_numpy(
-            R, R, 1, r_ids=ids, exclude_ids=ids, q_ids=ids
-        )
+        idx, _ = nn.knn_numpy(R, R, 1, r_ids=ids, exclude_ids=ids)
         assert not np.any(ids[idx[:, 0]] == ids)
 
     def test_k_clamped_to_n(self):
@@ -152,13 +153,42 @@ def test_knn_pairs_numpy_matches_join(spark, small_rel):
     rel_pdf, rel_df = small_rel
     F = ["A1", "A2"]
     rel = nn.collect_relation(rel_df, F, "A3")
-    # exclude_self variant equals the SQL join with exclude_self
-    pairs = nn.knn_pairs_numpy(rel, 4, exclude_self=True)
+    # the numpy self-kNN of r equals the SQL join with exclude_self
+    idx, _ = nn.knn_numpy(rel.X, rel.X, 4, r_ids=rel.ids, exclude_ids=rel.ids)
     sql_pairs = (
         nn.knn_join(rel_df, rel_df, F, 4, exclude_self=True)
         .toPandas()
         .sort_values(["q_id", "rank"])
         .reset_index(drop=True)
     )
-    pairs = pairs.sort_values(["q_id", "rank"]).reset_index(drop=True)
-    assert pairs["n_id"].tolist() == sql_pairs["n_id"].tolist()
+    assert rel.ids[idx].ravel().tolist() == sql_pairs["n_id"].tolist()
+
+
+class TestEmptyPartitions:
+    """Fewer inputs than partitions (two, against a default parallelism
+    of one per core): every fan-out returns exactly one row per input id."""
+
+    F = ["A1", "A2"]
+
+    def test_map_broadcast(self, spark):
+        src = spark.range(2, numPartitions=8)
+        out = nn.map_broadcast(
+            spark, src, 10, lambda pl, pdf: pdf.assign(id=pdf["id"] + pl), src.schema
+        )
+        assert sorted(r.id for r in out.collect()) == [10, 11]
+
+    def test_adaptive_learn_few_targets(self, spark, small_rel):
+        _, rel_df = small_rel
+        got = adaptive_learn(spark, rel_df, self.F, "A3", k=3, h=2, targets=np.array([17, 4]))
+        assert sorted(got.toPandas()["row_id"]) == [4, 17]
+
+    def test_learn_models_small_relation(self, spark, small_rel):
+        _, rel_df = small_rel
+        got = iim.learn_models(spark, rel_df.where("row_id < 2"), self.F, "A3", 2)
+        assert sorted(got.toPandas()["row_id"]) == [0, 1]
+
+    def test_baseline_few_queries(self, spark, small_rel, queries):
+        _, rel_df = small_rel
+        q = queries[1].where("row_id < 102")
+        got = knn_impute(spark, rel_df, q, self.F, "A3", k=3)
+        assert sorted(got.toPandas()["row_id"]) == [100, 101]
