@@ -16,7 +16,8 @@ candidate sweep out over executors, with the incremental prefix
 computation of Proposition 3 inside each task. The sweep can be
 restricted to a set of target tuples (the ones imputation consults);
 the validation lists always come from the full self-kNN, so a target's
-model is the one a full run learns.
+model is the one a full run learns. Fixed-l learning (Algorithm 1) is
+the same pass over the one-point grid ``[l]``, without validation.
 
 ``adaptive_reference`` is a literal, driver-side O(n^2 * |grid|)
 transcription of Algorithm 3 used by the tests to pin down the
@@ -80,26 +81,15 @@ def _candidate_models(
     return fn(rel.X[order], rel.y[order], grid, alpha)
 
 
-def _pick(
-    rel: Relation,
-    pos: int,
-    grid: np.ndarray,
-    alpha: float,
-    val_pos: np.ndarray,
-    *,
-    incremental: bool = True,
-) -> tuple[np.ndarray, int]:
-    """Candidate sweep + validation scoring for one tuple. Returns
-    (phi, l_star)."""
-    phis = _candidate_models(rel, pos, grid, alpha, incremental=incremental)
+def _best(rel: Relation, phis: np.ndarray, val_pos: np.ndarray) -> int:
+    """Index of the candidate model with the lowest validation cost."""
     Xv = linalg.design(rel.X[val_pos])  # (V, m)
     err = Xv @ phis.T - rel.y[val_pos][:, None]  # (V, |grid|)
     cost = (err**2).sum(axis=0)
-    g = int(np.argmin(cost))  # ties -> smallest l (np.argmin is first-hit)
-    return phis[g], int(grid[g])
+    return int(np.argmin(cost))  # ties -> smallest l (np.argmin is first-hit)
 
 
-def _reverse_validation(rel: Relation, nn_idx: np.ndarray, k: int) -> list[np.ndarray]:
+def _reverse_validation(rel: Relation, nn_idx: np.ndarray) -> list[np.ndarray]:
     """Invert per-tuple kNN assignments into reverse-kNN validation lists.
 
     ``nn_idx[j]`` holds positions of NN(t_j, F, k) excluding t_j itself.
@@ -152,13 +142,24 @@ def adaptive_learn(
     full self-kNN over r, so its model is exactly the one a full run
     learns. ``incremental=False`` swaps in the from-scratch candidate
     sweep (the straightforward baseline of Table III / Fig. 12); results
-    are identical, only slower — asserted by tests.
+    are identical, only slower — asserted by tests. k outside 1..|r|-1
+    raises a ValueError (the validation kNN excludes the tuple itself).
     """
     rel = r if isinstance(r, Relation) else collect_relation(r, F, A_x)
+    rel.check_count("k", k, rel.n - 1)
     grid = linalg.make_grid(rel.n, h or auto_step(rel.n, l_max), l_max)
-    nn_idx = _self_knn(rel, k)
-    val_sets = _reverse_validation(rel, nn_idx, k)
     todo = np.arange(rel.n) if targets is None else rel.positions(np.unique(targets), "target")
+    return _learn(spark, rel, grid, todo, alpha, k, incremental)
+
+
+def _learn(
+    spark: SparkSession, rel: Relation, grid: np.ndarray, todo: np.ndarray, alpha: float,
+    k: int | None = None, incremental: bool = True,
+) -> DataFrame:
+    """The one learning pass: ``(row_id, phi, l_star)`` of the tuples at
+    positions ``todo``. A one-point grid ``[l]`` (fixed l) has nothing to
+    choose between: no self-kNN, validation lists or scoring (k unread)."""
+    val_sets = _reverse_validation(rel, _self_knn(rel, k)) if len(grid) > 1 else None
     # Task input: the indices into ``todo``, split evenly without a shuffle.
     src = spark.range(len(todo), numPartitions=spark.sparkContext.defaultParallelism)
     payload = (rel, grid, val_sets, todo, alpha, incremental)
@@ -170,8 +171,9 @@ def _sweep(payload: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
     rel, grid, val_sets, todo, alpha, incremental = payload
     rows = []
     for pos in todo[pdf["id"].to_numpy(np.int64)]:
-        phi, l_star = _pick(rel, pos, grid, alpha, val_sets[pos], incremental=incremental)
-        rows.append((int(rel.ids[pos]), phi.tolist(), l_star))
+        phis = _candidate_models(rel, pos, grid, alpha, incremental=incremental)
+        g = _best(rel, phis, val_sets[pos]) if len(grid) > 1 else 0  # one point: no choice
+        rows.append((int(rel.ids[pos]), phis[g].tolist(), int(grid[g])))
     return pd.DataFrame(rows, columns=[ID, "phi", "l_star"])
 
 

@@ -2,9 +2,9 @@
 
 Learning phase (:func:`learn_models`): for each complete tuple t_i in r,
 take its l nearest neighbors on the complete attributes F (the tuple
-itself included, as in the paper's Example 2) and fit an individual
-ridge regression F -> A_x (Formula 5); l=1 uses the single-neighbor
-rule.
+itself first, as in the paper's Example 2, then by distance and row id)
+and fit an individual ridge regression F -> A_x (Formula 5); l=1 uses
+the single-neighbor rule, phi[C] = t_i[A_x].
 
 Imputation phase (:func:`impute`): for each incomplete tuple t_x, take
 its k nearest complete neighbors, let each neighbor's individual model
@@ -14,11 +14,11 @@ candidates get more weight; the all-equal case degenerates to uniform
 weights, which keeps Propositions 1-2 exact).
 
 Spark layout: r is collected to the driver as numpy
-(:func:`~.nn.collect_relation`). Fixed-l learning broadcasts it and fans
-the per-tuple fits out over r's partitions (:func:`~.nn.map_broadcast`);
-imputation finds the queries' k nearest neighbors and votes on the
-driver, in one query kNN that also decides which models adaptive
-learning has to learn (:func:`iim_impute`).
+(:func:`~.nn.collect_relation`). Fixed-l learning is the one-point grid
+``[l]`` of adaptive learning's candidate sweep, so both fan out through
+the one learning pass of :mod:`.adaptive`. Imputation finds the queries'
+k nearest neighbors and votes on the driver, in one query kNN that also
+decides which models :func:`iim_impute` learns.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
-from . import linalg
-from .nn import ID, Relation, collect_relation, finite_matrix, knn_numpy, map_broadcast
+from . import adaptive, linalg
+from .nn import ID, Relation, collect_relation, finite_matrix, knn_numpy
 
 MODEL_SCHEMA = StructType(
     [
@@ -52,13 +52,6 @@ IMPUTED_SCHEMA = StructType(
 QUERY_BLOCK = 32
 
 
-def _fit_sorted(X_nn: np.ndarray, y_nn: np.ndarray, alpha: float) -> np.ndarray:
-    """Fit the individual model over already-selected neighbors."""
-    if len(y_nn) == 1:
-        return linalg.single_neighbor_phi(y_nn[0], X_nn.shape[1] + 1)
-    return linalg.ridge_fit(X_nn, y_nn, alpha)
-
-
 # ---------------------------------------------------------------- learning
 
 
@@ -75,17 +68,19 @@ def learn_models(
 
     Returns a DataFrame ``(row_id, phi)`` where ``phi`` is the
     (1+|F|)-vector [intercept, slopes...] of t_i's individual model.
+    Learned as the one-point grid ``[l]`` of the adaptive candidate
+    sweep; l outside 1..|r| raises a ValueError.
     """
     rel = collect_relation(r, F, A_x)
-    cols = list(F)
+    return _learn_fixed(spark, rel, l, np.arange(rel.n), alpha)
 
-    def fit(rv: Relation, pdf: pd.DataFrame) -> pd.DataFrame:
-        idx, _ = knn_numpy(pdf[cols].to_numpy(np.float64), rv.X, l, r_ids=rv.ids)
-        phis = [_fit_sorted(rv.X[nn_i], rv.y[nn_i], alpha).tolist() for nn_i in idx]
-        return pd.DataFrame({ID: pdf[ID].to_numpy(np.int64), "phi": phis})
 
-    src = r.select(ID, *cols).repartition(spark.sparkContext.defaultParallelism)
-    return map_broadcast(spark, src, rel, fit, MODEL_SCHEMA)
+def _learn_fixed(
+    spark: SparkSession, rel: Relation, l: int, todo: np.ndarray, alpha: float
+) -> DataFrame:
+    """``(row_id, phi)`` of the tuples at positions ``todo``, fixed l."""
+    rel.check_count("l", l, rel.n)
+    return adaptive._learn(spark, rel, np.array([l]), todo, alpha).select(ID, "phi")
 
 
 # --------------------------------------------------------------- combining
@@ -136,6 +131,7 @@ def impute(
     and every neighbor a query consults must have a model, or a
     ValueError names the id. ``r`` may be passed already collected.
     Returns ``(row_id, imputed)`` with one row per incomplete tuple.
+    k outside 1..|r| raises a ValueError.
     """
     rel = r if isinstance(r, Relation) else collect_relation(r, F, A_x)
     q_ids, Q, idx = _query_neighbors(rel, incomplete, F, k)
@@ -175,7 +171,8 @@ def _query_neighbors(
     """
     pdf = incomplete.select(ID, *F).toPandas().sort_values(ID)
     Q = finite_matrix(pdf, F, "the incomplete relation")
-    idx = np.empty((len(Q), min(k, rel.n)), dtype=np.int64)
+    rel.check_count("k", k, rel.n)
+    idx = np.empty((len(Q), k), dtype=np.int64)
     for s in range(0, len(Q), QUERY_BLOCK):
         idx[s : s + QUERY_BLOCK], _ = knn_numpy(
             Q[s : s + QUERY_BLOCK], rel.X, k, r_ids=rel.ids
@@ -192,7 +189,6 @@ def iim_impute(
     *,
     k: int = 10,
     l: int | None = None,
-    adaptive: bool = True,
     h: int | None = None,
     l_max: int | None = None,
     alpha: float = linalg.DEFAULT_ALPHA,
@@ -200,23 +196,18 @@ def iim_impute(
 ) -> DataFrame:
     """One-shot IIM: learn (fixed-l or adaptive) then impute.
 
-    ``l`` set -> fixed-l Algorithm 1; otherwise adaptive Algorithm 3
-    (the paper's recommended mode) with stepping ``h`` (auto if None).
-    Adaptive learning learns only the models imputation consults: the
-    queries' k nearest complete neighbors are found first and passed to
-    ``adaptive_learn`` as targets. Those models are exact, because their
-    validation lists come from the full self-kNN over r.
+    ``l`` set -> fixed-l Algorithm 1; None -> adaptive Algorithm 3 (the
+    paper's recommended mode) with stepping ``h`` (auto if None). The
+    queries' k nearest complete neighbors are found first and only their
+    models are learned, exactly (adaptive ones still take their
+    validation lists from the full self-kNN over r).
     """
-    if l is not None:
-        models = learn_models(spark, r, F, A_x, l, alpha=alpha)
-    elif adaptive:
-        from .adaptive import adaptive_learn  # local import: avoid cycle
-
-        r = collect_relation(r, F, A_x)  # impute from the same collected relation
-        targets = r.ids[np.unique(_query_neighbors(r, incomplete, F, k)[2])]
-        models = adaptive_learn(
-            spark, r, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, targets=targets
+    rel = collect_relation(r, F, A_x)  # learn and impute from one collected relation
+    todo = np.unique(_query_neighbors(rel, incomplete, F, k)[2])
+    if l is None:
+        models = adaptive.adaptive_learn(
+            spark, rel, F, A_x, k=k, h=h, l_max=l_max, alpha=alpha, targets=rel.ids[todo]
         )
     else:
-        raise ValueError("either fix l or enable adaptive learning")
-    return impute(spark, r, incomplete, models, F, A_x, k, weighting=weighting)
+        models = _learn_fixed(spark, rel, l, todo, alpha)
+    return impute(spark, rel, incomplete, models, F, A_x, k, weighting=weighting)

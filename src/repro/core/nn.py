@@ -153,6 +153,14 @@ class Relation:
             raise ValueError(f"{what} row_id {unknown[0]} is not in the complete relation r")
         return np.searchsorted(self.ids, ids)
 
+    def check_count(self, name: str, value: int, hi: int) -> None:
+        """Raise a ValueError naming ``name``'s value and |r| unless
+        1 <= value <= hi."""
+        if not 1 <= value <= hi:
+            raise ValueError(
+                f"{name}={value} is outside 1..{hi} for the complete relation r of {self.n} tuples"
+            )
+
 
 def finite_matrix(pdf: pd.DataFrame, cols: Sequence[str], what: str, id_col: str = ID) -> np.ndarray:
     """``pdf[cols]`` as a float matrix. A NaN or infinite value raises a

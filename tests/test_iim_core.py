@@ -92,11 +92,16 @@ class TestLearning:
             np.testing.assert_allclose(phi, [5.56, -0.87], atol=0.005)
 
     def test_l1_constant_models(self, spark, fig1_r):
-        models = iim.learn_models(spark, fig1_r, ["A1"], "A2", 1)
-        got = models.toPandas().sort_values("row_id")
+        """Every tuple's l=1 model is its own A_x, also when another
+        tuple with a lower row_id has the same F-value (t2 moved onto t1)."""
         y = {1: 5.8, 2: 4.6, 3: 3.8, 4: 3.2}
-        for _, row in got.iterrows():
-            np.testing.assert_allclose(row["phi"], [y[row["row_id"]], 0.0])
+        rows = [(1, 0.0, 5.8), (2, 0.0, 4.6), (3, 1.9, 3.8), (4, 2.9, 3.2)]
+        dup = _df(spark, rows, ["row_id", "A1", "A2"])
+        for r in (fig1_r, dup):
+            got = iim.learn_models(spark, r, ["A1"], "A2", 1).toPandas()
+            assert sorted(got["row_id"]) == [1, 2, 3, 4]
+            for _, row in got.iterrows():
+                np.testing.assert_allclose(row["phi"], [y[row["row_id"]], 0.0])
 
     def test_example6_l3_for_t1(self, spark, fig1_r):
         """t1's 3 nearest neighbors are t1,t2,t3 -> phi = (5.66, -1.03)."""
@@ -215,14 +220,6 @@ class TestEndToEnd:
         with pytest.raises(Exception):
             iim.impute(spark, df, q, models, F, "A3", 3).collect()
 
-    def test_fixed_l_or_adaptive_required(self, spark, rand_r):
-        pdf, df = rand_r
-        q = spark.createDataFrame(
-            pd.DataFrame({"row_id": [500], "A1": [0.0], "A2": [0.0]})
-        )
-        with pytest.raises(ValueError):
-            iim.iim_impute(spark, df, q, ["A1", "A2"], "A3", adaptive=False)
-
 
 @pytest.fixture(scope="module")
 def tied_r(spark):
@@ -247,14 +244,18 @@ def tied_r(spark):
 class TestDemandDrivenLearning:
     F = ["A1", "A2"]
 
-    def test_equals_learning_every_model(self, spark, tied_r):
+    @pytest.mark.parametrize("kw", [{"h": 3}, {"l": 4}], ids=["adaptive", "fixed"])
+    def test_equals_learning_every_model(self, spark, tied_r, kw):
         """iim_impute learns only the consulted models, yet imputes
         bit-for-bit what learning all of them and imputing gives."""
         from repro.core.adaptive import adaptive_learn
 
         pdf, r, q = tied_r
-        got = iim.iim_impute(spark, r, q, self.F, "A3", k=5, h=3).toPandas()
-        models = adaptive_learn(spark, r, self.F, "A3", k=5, h=3)
+        got = iim.iim_impute(spark, r, q, self.F, "A3", k=5, **kw).toPandas()
+        if "l" in kw:
+            models = iim.learn_models(spark, r, self.F, "A3", kw["l"])
+        else:
+            models = adaptive_learn(spark, r, self.F, "A3", k=5, **kw)
         want = iim.impute(spark, r, q, models, self.F, "A3", 5).toPandas()
         got, want = (d.sort_values("row_id").reset_index(drop=True) for d in (got, want))
         assert got["row_id"].tolist() == want["row_id"].tolist()
@@ -338,3 +339,29 @@ class TestInputErrors:
         kw = {} if adaptive else {"l": 3}
         with pytest.raises(ValueError, match="incomplete relation has a NaN or infinite value in column 'A2' \\(row_id 500\\)"):
             iim.iim_impute(spark, self._r(spark), self._q(spark, np.nan), self.F, "A3", k=3, **kw).collect()
+
+    @pytest.mark.parametrize("l", [0, 9])
+    def test_l_outside_r(self, spark, l):
+        msg = f"l={l} is outside 1..8 for the complete relation r of 8 tuples"
+        with pytest.raises(ValueError, match=msg):
+            iim.learn_models(spark, self._r(spark), self.F, "A3", l)
+        with pytest.raises(ValueError, match=msg):
+            iim.iim_impute(spark, self._r(spark), self._q(spark), self.F, "A3", k=3, l=l)
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_impute_k_outside_r(self, spark, k):
+        models = iim.learn_models(spark, self._r(spark), self.F, "A3", 3)
+        msg = f"k={k} is outside 1..8 for the complete relation r of 8 tuples"
+        with pytest.raises(ValueError, match=msg):
+            iim.impute(spark, self._r(spark), self._q(spark), models, self.F, "A3", k)
+        with pytest.raises(ValueError, match=msg):
+            iim.iim_impute(spark, self._r(spark), self._q(spark), self.F, "A3", k=k, l=3)
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_adaptive_k_outside_r_minus_self(self, spark, k):
+        """The validation kNN excludes the tuple itself: k <= |r| - 1."""
+        from repro.core.adaptive import adaptive_learn
+
+        msg = f"k={k} is outside 1..7 for the complete relation r of 8 tuples"
+        with pytest.raises(ValueError, match=msg):
+            adaptive_learn(spark, self._r(spark), self.F, "A3", k=k)

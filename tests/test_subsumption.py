@@ -26,10 +26,23 @@ def _data(spark, n, p, seed, nq=8):
     )
 
 
-@pytest.mark.parametrize("seed,n,p,k", [(0, 25, 2, 3), (1, 40, 3, 5), (2, 15, 1, 4)])
+def _duplicated(spark):
+    """Figure 1's left street with t2 moved onto t1's A1: a query at
+    A1=0.1 has neighbors t1 and t2, whose own values average to 5.2."""
+    r = pd.DataFrame(
+        {"row_id": np.arange(1, 5), "A1": [0.0, 0.0, 1.9, 2.9], "A2": [5.8, 4.6, 3.8, 3.2]}
+    )
+    q = pd.DataFrame({"row_id": [1000, 1001], "A1": [0.1, 2.0]})
+    return spark.createDataFrame(r), spark.createDataFrame(q), ["A1"], "A2"
+
+
+@pytest.mark.parametrize(
+    "seed,n,p,k", [(0, 25, 2, 3), (1, 40, 3, 5), (2, 15, 1, 4), (None, 4, 1, 2)]
+)
 def test_proposition1_subsumes_knn(spark, seed, n, p, k):
-    """l=1 + uniform candidate weights == kNN imputation (Formula 2)."""
-    r, q, F, A_x = _data(spark, n, p, seed)
+    """l=1 + uniform candidate weights == kNN imputation (Formula 2).
+    seed None: two tuples share their F-value (see ``_duplicated``)."""
+    r, q, F, A_x = _data(spark, n, p, seed) if seed is not None else _duplicated(spark)
     got = (
         iim.iim_impute(spark, r, q, F, A_x, k=k, l=1, weighting="uniform")
         .toPandas().sort_values("row_id")
